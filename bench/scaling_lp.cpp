@@ -4,7 +4,7 @@
 //     per-solve pivot count as a machine-comparable counter (wall-clock is
 //     noisy on this container; pivots are not);
 //   * the n=128/256 sparse-platform regime (wafer-scale-like density) for
-//     scatter and reduce — the sizes the presolve+pricing+scaling stack
+//     scatter and reduce — the sizes the sparse pricing+scaling stack
 //     exists for;
 //   * a phase breakdown of one n=64 solve (FTRAN/BTRAN/pricing/factor) so
 //     future pricing work is measurable from BENCH_lp.json;
@@ -62,7 +62,7 @@ BENCHMARK(BM_ScatterLp)->Arg(6)->Arg(10)->Arg(14)->Arg(18)->Arg(32)->Arg(48)
     ->Arg(64)->Iterations(3)->Unit(benchmark::kMillisecond);
 
 // Large sparse platforms (~6n arcs, the density of wafer-scale fabrics):
-// the n=128/256 regime the presolve+pricing+scaling stack targets. One
+// the n=128/256 regime the sparse pricing+scaling stack targets. One
 // iteration — a single solve at this size is signal enough, and the pivot
 // counter is deterministic.
 void BM_ScatterLpLarge(benchmark::State& state) {
@@ -174,10 +174,6 @@ void BM_ScatterLpBreakdown(benchmark::State& state) {
   state.counters["factor_ms"] =
       static_cast<double>(stats.factor_ns) / 1e6 / solves;
   state.counters["factor_fill_nonzeros"] = static_cast<double>(factor_fill);
-  state.counters["presolve_rows_removed"] =
-      static_cast<double>(stats.presolve_rows_removed) / solves;
-  state.counters["presolve_cols_removed"] =
-      static_cast<double>(stats.presolve_cols_removed) / solves;
   state.counters["certify_ms"] =
       static_cast<double>(stats.certify_ns) / 1e6 / solves;
   state.counters["pricing_sweep_ms"] =

@@ -638,7 +638,6 @@ void IntervalFlowOracle::materialize_all(
 std::optional<lp::ExactSolution> IntervalFlowOracle::try_solve(
     const platform::ReduceInstance& instance, Family family,
     const std::vector<NodeId>& compute_nodes, ColGenMode mode,
-    std::size_t min_columns, const lp::ColGenOptions& colgen_options,
     const lp::ExactSolver& solver, lp::SolveContext& context,
     const std::function<IntervalSeeds()>& heuristic_seeds,
     const ReduceSolution* previous, ReduceSolution& out) {
@@ -646,7 +645,7 @@ std::optional<lp::ExactSolution> IntervalFlowOracle::try_solve(
       mode == ColGenMode::kAlways ||
       (mode == ColGenMode::kAuto &&
        full_model_columns(instance, family, compute_nodes.size()) >=
-           min_columns);
+           kColGenMinColumns);
   if (!use_colgen) return std::nullopt;
 
   IntervalSeeds seeds = heuristic_seeds();
@@ -690,7 +689,7 @@ std::optional<lp::ExactSolution> IntervalFlowOracle::try_solve(
   }
   lp::Model master = oracle.build_master(std::move(seeds));
   lp::ExactSolution sol =
-      solver.solve_colgen(master, oracle, colgen_options, &context);
+      solver.solve_colgen(master, oracle, lp::ColGenOptions{}, &context);
   if (sol.status == lp::SolveStatus::kOptimal) {
     oracle.extract(sol.primal, out);
   }

@@ -50,12 +50,16 @@ namespace ssco::core {
 
 /// Column-generation policy of the reduce-family solvers.
 enum class ColGenMode {
-  /// Use column generation when the full model exceeds the option's column
-  /// threshold; dense below it (small models certify faster dense).
+  /// Use column generation once the full model reaches
+  /// kColGenMinColumns columns; dense below it (small models certify
+  /// faster dense).
   kAuto,
   kAlways,
   kNever,
 };
+
+/// kAuto's column threshold.
+inline constexpr std::size_t kColGenMinColumns = 8192;
 
 /// Seed hints for a restricted master: (interval, edge) send pairs and
 /// (node, task) merge placements.
@@ -144,7 +148,7 @@ class IntervalFlowOracle final : public lp::PricingOracle {
       std::size_t num_compute_nodes);
 
   /// Shared column-generation dispatch of solve_reduce / solve_prefix.
-  /// Decides colgen vs dense from `mode` and the column threshold; when
+  /// Decides colgen vs dense from `mode` and kColGenMinColumns; when
   /// colgen applies, seeds the master (`heuristic_seeds()` — a callback so
   /// dense solves never pay the heuristic's Dijkstra runs — plus, on a
   /// warm re-solve, the previous solution's support and basis names), runs
@@ -155,7 +159,6 @@ class IntervalFlowOracle final : public lp::PricingOracle {
   [[nodiscard]] static std::optional<lp::ExactSolution> try_solve(
       const platform::ReduceInstance& instance, Family family,
       const std::vector<NodeId>& compute_nodes, ColGenMode mode,
-      std::size_t min_columns, const lp::ColGenOptions& colgen_options,
       const lp::ExactSolver& solver, lp::SolveContext& context,
       const std::function<IntervalSeeds()>& heuristic_seeds,
       const ReduceSolution* previous, ReduceSolution& out);

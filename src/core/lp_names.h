@@ -9,14 +9,15 @@
 // because the platform graph rejects parallel edges — makes the names
 // invariant under id churn: after a delta, exactly the vanished entities
 // lose their names and everything else maps back onto itself. The "."
-// separator keeps the names legal in the CPLEX LP format (lp/lp_writer.h);
-// apply_delta rejects added node names containing '.' so composed tags
-// cannot alias. Caveat: adversarial base-platform names can still collide
-// through composition (a node literally named "B.C", or builder infixes
-// like "_m" embedded in a name). That is tolerated by design — a colliding
-// name degrades the warm-start mapping (wrong column pairing, extra
-// pivots), never correctness: every solution is certified exactly
-// regardless of what the basis snapshot mapped to.
+// separator is part of every warm-start key, so changing it would orphan
+// every stored basis snapshot; apply_delta rejects added node names
+// containing '.' so composed tags cannot alias. Caveat: adversarial
+// base-platform names can still collide through composition (a node
+// literally named "B.C", or builder infixes like "_m" embedded in a name).
+// That is tolerated by design — a colliding name degrades the warm-start
+// mapping (wrong column pairing, extra pivots), never correctness: every
+// solution is certified exactly regardless of what the basis snapshot
+// mapped to.
 
 #include <string>
 

@@ -244,8 +244,8 @@ ReduceSolution solve_prefix(const ReduceInstance& instance,
   ReduceSolution out;
   auto colgen = IntervalFlowOracle::try_solve(
       instance, IntervalFlowOracle::Family::kPrefix, compute_nodes,
-      options.colgen, options.colgen_min_columns, options.colgen_options,
-      solver, context, [&] { return chain_seeds(instance); }, previous, out);
+      options.colgen, solver, context, [&] { return chain_seeds(instance); },
+      previous, out);
   if (colgen) {
     sol = std::move(*colgen);
   } else {

@@ -17,7 +17,6 @@
 
 #include "core/interval_colgen.h"
 #include "core/reduce_solution.h"
-#include "lp/colgen.h"
 #include "lp/exact_solver.h"
 
 namespace ssco::core {
@@ -32,8 +31,6 @@ struct PrefixLpOptions {
   /// plan (v[0,i-1] forwarded participant to participant, merged on
   /// arrival) plus the support of `previous`.
   ColGenMode colgen = ColGenMode::kAuto;
-  std::size_t colgen_min_columns = 8192;
-  lp::ColGenOptions colgen_options;
 };
 
 /// Result: a ReduceSolution-shaped table (send/cons/throughput). The

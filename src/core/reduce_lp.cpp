@@ -269,8 +269,8 @@ ReduceSolution solve_reduce(const ReduceInstance& instance,
   ReduceSolution out;
   auto colgen = IntervalFlowOracle::try_solve(
       instance, IntervalFlowOracle::Family::kReduce, compute_nodes,
-      options.colgen, options.colgen_min_columns, options.colgen_options,
-      solver, context, [&] { return tree_seeds(instance); }, previous, out);
+      options.colgen, solver, context, [&] { return tree_seeds(instance); },
+      previous, out);
   if (colgen) {
     sol = std::move(*colgen);
   } else {

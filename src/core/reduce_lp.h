@@ -18,7 +18,6 @@
 
 #include "core/interval_colgen.h"
 #include "core/reduce_solution.h"
-#include "lp/colgen.h"
 #include "lp/exact_solver.h"
 
 namespace ssco::core {
@@ -33,11 +32,9 @@ struct ReduceLpOptions {
   /// flat/chain/binomial reduction-tree plans (baselines/reduce_trees.h)
   /// plus the support of `previous` on a warm re-solve, and grows by
   /// pricing until one exact sweep certifies the COMPLETE paper LP. kAuto
-  /// switches it on once the full model exceeds `colgen_min_columns`
-  /// columns; the certified objective is bit-identical either way.
+  /// switches it on once the full model reaches kColGenMinColumns columns;
+  /// the certified objective is bit-identical either way.
   ColGenMode colgen = ColGenMode::kAuto;
-  std::size_t colgen_min_columns = 8192;
-  lp::ColGenOptions colgen_options;
 };
 
 [[nodiscard]] lp::Model build_reduce_lp(

@@ -732,6 +732,11 @@ class Engine {
     r.chunks_lost = chunks_lost_;
     r.retransmits = retransmits_;
     r.total_operations = ops1_;
+    r.delivered_messages.resize(p_.num_types);
+    for (std::size_t k = 0; k < p_.num_types; ++k) {
+      r.delivered_messages[k] =
+          static_cast<std::uint64_t>(delivered_[k].floor().to_int64());
+    }
     r.total_seconds = t1_;
     r.warmup_seconds = t0_;
     if (!t1_stamped_) {

@@ -77,6 +77,12 @@ struct ExecReport {
   /// Exactly-once delivery errors (duplicate / missing message identity;
   /// only populated when verification was enabled and applicable).
   std::size_t delivery_errors = 0;
+  /// Whole messages of each type (one type per commodity for scatter) that
+  /// reached the type's sink over the whole run, indexed by type; 0 for
+  /// types without a sink. A scatter operation completes only when every
+  /// commodity's message has arrived, so total_operations never exceeds
+  /// any commodity's entry.
+  std::vector<std::uint64_t> delivered_messages;
 
   // ---- fault accounting (whole run, not just the window) ----
   /// Discrete fault events injected by ExecOptions::faults: every lost

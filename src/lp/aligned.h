@@ -1,9 +1,9 @@
 #pragma once
 // Cache-line-aligned contiguous buffers for the sparse double kernels.
 //
-// The hot solve loops (BasisLu FTRAN/BTRAN, the CSR pivot-row pass in Devex
-// pricing) stream flat index/value arrays; aligning their storage to the
-// cache line keeps every vector load inside one line and gives the
+// The hot solve loops (BasisLu FTRAN/BTRAN, the CSR pivot-row pass of the
+// dual ratio test) stream flat index/value arrays; aligning their storage
+// to the cache line keeps every vector load inside one line and gives the
 // auto-vectorizer alignment it can prove. This is a layout concern only:
 // alignment never changes which operations run or in what order, so results
 // are bit-identical to unaligned storage (the determinism contract of

@@ -8,7 +8,6 @@
 #include "lp/column_layout.h"
 #include "lp/dual_simplex.h"
 #include "lp/exact_basis.h"
-#include "lp/presolve.h"
 #include "num/reconstruct.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,15 +24,19 @@ std::uint64_t ns_since(Clock::time_point t0) {
           .count());
 }
 
+/// Reconstruction tolerance: |rounded - double| must be below this.
+constexpr double kReconstructTolerance = 1e-6;
+
 /// Shard granularity of the certification loops: each item is big-int
 /// rational work, so fairly fine shards still amortize the fork.
 constexpr std::size_t kMinCertifyPerShard = 16;
 
 /// Rounds every entry of `values` to a rational with denominator <= cap;
-/// returns nullopt when any entry fails the tolerance test. Entries are
-/// independent, so the sharded fill is bit-identical to the serial scan.
+/// returns nullopt when any entry misses kReconstructTolerance. Entries
+/// are independent, so the sharded fill is bit-identical to the serial
+/// scan.
 std::optional<std::vector<Rational>> reconstruct_vector(
-    const std::vector<double>& values, std::uint64_t cap, double tolerance,
+    const std::vector<double>& values, std::uint64_t cap,
     const Parallel& par = {}) {
   std::vector<Rational> out(values.size());
   const std::size_t shards = par.shard_count(values.size(), kMinCertifyPerShard);
@@ -42,7 +45,8 @@ std::optional<std::vector<Rational>> reconstruct_vector(
                  [&](std::size_t shard, std::size_t begin, std::size_t end) {
                    bool all = true;
                    for (std::size_t i = begin; i < end && all; ++i) {
-                     auto r = num::rational_near_double(values[i], tolerance, cap);
+                     auto r = num::rational_near_double(
+                         values[i], kReconstructTolerance, cap);
                      if (r) {
                        out[i] = std::move(*r);
                      } else {
@@ -323,10 +327,8 @@ bool certify_float_result(const ExpandedModel& em,
                           const ExactSolverOptions& options,
                           ExactSolution& out, const Parallel& parallel) {
   for (std::uint64_t cap : options.denominator_caps) {
-    auto x = reconstruct_vector(fp.primal, cap, options.reconstruct_tolerance,
-                                parallel);
-    auto y = reconstruct_vector(fp.dual, cap, options.reconstruct_tolerance,
-                                parallel);
+    auto x = reconstruct_vector(fp.primal, cap, parallel);
+    auto y = reconstruct_vector(fp.dual, cap, parallel);
     if (!x || !y) continue;
     // Clamp reconstruction noise: tiny negatives are infeasible exactly.
     for (Rational& v : *x) {
@@ -377,10 +379,6 @@ SolverStats ExactSolver::stats() const {
   out.exact_pivots = stats_.exact_pivots.load(std::memory_order_relaxed);
   out.exact_fallbacks =
       stats_.exact_fallbacks.load(std::memory_order_relaxed);
-  out.presolve_rows_removed =
-      stats_.presolve_rows_removed.load(std::memory_order_relaxed);
-  out.presolve_cols_removed =
-      stats_.presolve_cols_removed.load(std::memory_order_relaxed);
   out.ftran_ns = stats_.ftran_ns.load(std::memory_order_relaxed);
   out.btran_ns = stats_.btran_ns.load(std::memory_order_relaxed);
   out.pricing_ns = stats_.pricing_ns.load(std::memory_order_relaxed);
@@ -460,10 +458,6 @@ void ExactSolver::record_solve(const ExactSolution& out,
   if (out.exact_iterations > 0) {
     stats_.exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
-  stats_.presolve_rows_removed.fetch_add(out.presolve_rows_removed,
-                                         std::memory_order_relaxed);
-  stats_.presolve_cols_removed.fetch_add(out.presolve_cols_removed,
-                                         std::memory_order_relaxed);
   stats_.ftran_ns.fetch_add(out.phase_times.ftran_ns,
                             std::memory_order_relaxed);
   stats_.btran_ns.fetch_add(out.phase_times.btran_ns,
@@ -525,18 +519,14 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
   // to the cold float pass, so a warm start costs at most one extra
   // (cheap) float solve, never a wrong answer and never an unnecessary
   // trip through the exact simplex.
-  SimplexResult<double> fp;
   if (context && !context->warm.empty()) {
     OBS_SPAN("warm");
     ColumnLayout layout = ColumnLayout::from(em);
     if (auto columns = map_warm_basis(context->warm, model, em, layout)) {
       context->warm_attempted = true;
       SimplexOptions warm_options = options_.simplex;
-      const std::size_t budget = options_.warm_pivot_budget != 0
-                                     ? options_.warm_pivot_budget
-                                     : 2 * em.rows.size() + 100;
-      warm_options.max_iterations =
-          std::min(warm_options.max_iterations, budget);
+      warm_options.max_iterations = std::min(
+          warm_options.max_iterations, warm_pivot_budget(em.rows.size()));
       DualSolveInfo info;
       SimplexResult<double> warm = solve_from_basis(
           em, std::move(layout), *columns, warm_options, &info);
@@ -556,111 +546,13 @@ ExactSolution ExactSolver::solve_impl(const Model& model,
     }
   }
 
-  // Cold solve: exact presolve first, float solve and certification on the
-  // REDUCED model, exact postsolve back to the full one. The lifted pair is
-  // re-verified against the full model below, so presolve can cost at most
-  // a fallback, never a wrong answer.
-  bool presolve_skip_cold = false;
-  if (options_.presolve) {
-    Presolved pre = [&] {
-      OBS_SPAN("presolve");
-      return presolve(em);
-    }();
-    if (pre.status == PresolveStatus::kInfeasible) {
-      // The reductions run in exact rational arithmetic: this verdict is a
-      // proof, no float or exact simplex pass needed.
-      out.status = SolveStatus::kInfeasible;
-      out.method = "presolve";
-      out.presolve_rows_removed = pre.stats.rows_removed;
-      out.presolve_cols_removed = pre.stats.cols_removed;
-      return out;
-    }
-    if (!pre.identity()) {
-      out.presolve_rows_removed = pre.stats.rows_removed;
-      out.presolve_cols_removed = pre.stats.cols_removed;
-      SimplexResult<double> fr = [&] {
-        OBS_SPAN("float");
-        return solve_simplex<double>(pre.reduced, options_.simplex);
-      }();
-      out.float_iterations += fr.iterations;
-      out.phase_times += fr.phase_times;
-
-      // Lifts an exact reduced-model optimum to the full model and runs
-      // the full certificate as the final gate.
-      auto lift_and_verify = [&](const std::vector<Rational>& x_reduced,
-                                 const std::vector<Rational>& y_reduced,
-                                 const std::vector<BasisColumn>& basis,
-                                 const char* method) -> bool {
-        Presolved::Lifted lifted =
-            pre.postsolve(x_reduced, y_reduced, basis);
-        if (!verify_certificate(em, lifted.primal, lifted.dual, par)) {
-          return false;
-        }
-        out.status = SolveStatus::kOptimal;
-        Rational obj(0);
-        for (std::size_t j = 0; j < em.num_vars; ++j) {
-          if (!em.objective[j].is_zero()) {
-            obj.add_product(em.objective[j], lifted.primal[j]);
-          }
-        }
-        out.primal = em.unshift(lifted.primal);
-        out.dual = std::move(lifted.dual);
-        out.objective = obj + em.objective_constant;
-        out.certified = true;
-        out.method = method;
-        remember(lifted.basis);
-        return true;
-      };
-
-      if (fr.status == SolveStatus::kOptimal) {
-        OBS_SPAN("certify");
-        const auto t0 = Clock::now();
-        for (std::uint64_t cap : options_.denominator_caps) {
-          auto x = reconstruct_vector(fr.primal, cap,
-                                      options_.reconstruct_tolerance, par);
-          auto y = reconstruct_vector(fr.dual, cap,
-                                      options_.reconstruct_tolerance, par);
-          if (!x || !y) continue;
-          for (Rational& v : *x) {
-            if (v.is_negative()) v = Rational(0);
-          }
-          if (!verify_certificate(pre.reduced, *x, *y, par)) continue;
-          if (lift_and_verify(*x, *y, fr.basis, "double+certificate")) {
-            out.phase_times.certify_ns += ns_since(t0);
-            return out;
-          }
-        }
-        if (options_.allow_basis_verification) {
-          if (auto verified = verify_from_basis(pre.reduced, fr.basis, par)) {
-            if (lift_and_verify(verified->primal, verified->dual, fr.basis,
-                                "double+basis-verification")) {
-              out.phase_times.certify_ns += ns_since(t0);
-              return out;
-            }
-          }
-        }
-        out.phase_times.certify_ns += ns_since(t0);
-      }
-      // Reduced-model certification failed (or the reduced float solve was
-      // not optimal): fall through to the shared full-model paths. A
-      // non-optimal reduced verdict skips the redundant full float solve
-      // and lets the exact fallback prove it, exactly like a cold float
-      // verdict did before presolve existed; an optimal-but-uncertifiable
-      // one retries cold on the full model first, mirroring the warm path.
-      fp.status = fr.status;
-      presolve_skip_cold = fr.status != SolveStatus::kOptimal;
-    }
-  }
-
-  if (!presolve_skip_cold) {
-    {
-      OBS_SPAN("float");
-      fp = solve_simplex<double>(em, options_.simplex);
-    }
-    out.float_iterations += fp.iterations;
-    out.phase_times += fp.phase_times;
-    if (fp.status == SolveStatus::kOptimal && certify(fp)) return out;
-  }
+  const SimplexResult<double> fp = [&] {
+    OBS_SPAN("float");
+    return solve_simplex<double>(em, options_.simplex);
+  }();
+  out.float_iterations += fp.iterations;
+  out.phase_times += fp.phase_times;
+  if (fp.status == SolveStatus::kOptimal && certify(fp)) return out;
 
   if (!options_.allow_exact_fallback) {
     out.status = fp.status == SolveStatus::kOptimal

@@ -83,10 +83,6 @@ struct ExactSolution {
   std::size_t colgen_stab_rounds = 0;
   /// Per-round trace of the restricted master's growth (colgen solves only).
   std::vector<ColGenRoundStat> colgen_round_log;
-  /// Rows/columns the exact presolve removed before the float solve
-  /// (lp/presolve.h); zero when presolve was off or found nothing.
-  std::size_t presolve_rows_removed = 0;
-  std::size_t presolve_cols_removed = 0;
   /// FTRAN/BTRAN/pricing/factorization split of the float engine work this
   /// solve performed (warm attempt + cold pass combined).
   SolvePhaseTimes phase_times;
@@ -110,12 +106,18 @@ struct SolveContext {
   std::size_t cost_shifts = 0;
 };
 
+/// Pivot budget for a warm-started float pass on an `rows`-row expanded
+/// model before giving up and going cold. A stale basis on a heavily
+/// mutated platform can cost more pivots than a cold solve; the budget
+/// bounds the downside of trying.
+[[nodiscard]] constexpr std::size_t warm_pivot_budget(std::size_t rows) {
+  return 2 * rows + 100;
+}
+
 struct ExactSolverOptions {
   /// Denominator caps tried, in order, when reconstructing rationals from the
   /// double solution.
   std::vector<std::uint64_t> denominator_caps = {1u << 12, 1u << 20, 1u << 26};
-  /// Reconstruction tolerance: |rounded - double| must be below this.
-  double reconstruct_tolerance = 1e-6;
   /// Allow recovering the exact solution from the optimal double basis
   /// (double LU + exact iterative refinement; handles degenerate vertices
   /// whose coordinates have huge denominators).
@@ -123,16 +125,6 @@ struct ExactSolverOptions {
   /// Allow falling back to the exact rational simplex (can be slow on large
   /// instances but is always correct).
   bool allow_exact_fallback = true;
-  /// Run the exact presolve (lp/presolve.h) before a cold float solve and
-  /// certify against the REDUCED model; the lifted full-model pair is
-  /// re-verified, so presolve can never cost correctness. Warm re-solves
-  /// and the exact fallback always see the full model.
-  bool presolve = true;
-  /// Pivot budget for a warm-started float pass before giving up and going
-  /// cold (0 = automatic: 2m + 100 for an m-row expanded model). A stale
-  /// basis on a heavily mutated platform can cost more pivots than a cold
-  /// solve; the budget bounds the downside of trying.
-  std::size_t warm_pivot_budget = 0;
   /// Thread budget for the parallel column loops — certificate
   /// verification, exact basis recovery, colgen pricing sweeps
   /// (lp/parallel.h). 0 = all hardware threads, 1 = fully serial. Results
@@ -159,9 +151,6 @@ struct SolverStats {
   std::uint64_t exact_pivots = 0;
   /// Solves that needed the exact rational simplex.
   std::uint64_t exact_fallbacks = 0;
-  /// Rows/columns removed by presolve, summed over solves.
-  std::uint64_t presolve_rows_removed = 0;
-  std::uint64_t presolve_cols_removed = 0;
   /// Float-engine wall-clock split, summed over solves (render with
   /// io::millis): where the simplex time actually goes — FTRAN, BTRAN,
   /// pricing scans, LU refactorization.
@@ -278,8 +267,6 @@ class ExactSolver {
     std::atomic<std::uint64_t> float_pivots{0};
     std::atomic<std::uint64_t> exact_pivots{0};
     std::atomic<std::uint64_t> exact_fallbacks{0};
-    std::atomic<std::uint64_t> presolve_rows_removed{0};
-    std::atomic<std::uint64_t> presolve_cols_removed{0};
     std::atomic<std::uint64_t> ftran_ns{0};
     std::atomic<std::uint64_t> btran_ns{0};
     std::atomic<std::uint64_t> pricing_ns{0};

@@ -6,11 +6,9 @@
 // held as a sparse LU factorization with product-form eta updates
 // (lp/basis_lu.h) over a CSC copy of the expanded constraint matrix
 // (lp/sparse.h):
-//   * the entering variable comes from Devex reference-framework pricing
-//     over reduced costs that are UPDATED each pivot from the pivot row
-//     (one BTRAN of the leaving unit vector plus one sparse pass), with
-//     rotating partial Dantzig available behind SimplexOptions::pricing
-//     and Bland's rule as the automatic degeneracy fallback for both;
+//   * the entering variable comes from rotating partial Dantzig pricing
+//     over the BTRAN multipliers, with Bland's rule as the automatic
+//     degeneracy fallback;
 //   * the pivot column comes from one FTRAN;
 //   * a pivot appends one eta vector; the basis is refactorized when the
 //     eta-file fill rivals the LU factor fill (see should_refactor()),
@@ -84,8 +82,6 @@ class RevisedSimplex {
   /// factorization run much longer than the old fixed period of 96).
   static constexpr std::size_t kMinRefactorInterval = 24;
   static constexpr std::size_t kMaxRefactorInterval = 256;
-  /// A Devex weight grown past this restarts the reference framework.
-  static constexpr double kDevexReset = 1e8;
 
   explicit RevisedSimplex(const ExpandedModel& em)
       : RevisedSimplex(em, false) {}
@@ -169,8 +165,8 @@ class RevisedSimplex {
 
   /// Dual simplex pivot loop: from a dual-feasible basis, restores primal
   /// feasibility (kOptimal for the given costs). Uses the bound-flipping
-  /// dual ratio test with dual Devex row pricing; switches to a Bland-style
-  /// rule after a degenerate run. kInfeasible means the PRIMAL is
+  /// dual ratio test, leaving on the most violated row; switches to a
+  /// Bland-style rule after a degenerate run. kInfeasible means the PRIMAL is
   /// infeasible (dual unbounded).
   SolveStatus dual_optimize(const std::vector<double>& cost,
                             const SimplexOptions& opt,
@@ -224,19 +220,11 @@ class RevisedSimplex {
 
   /// y_ = B^-T c_B (row space): the simplex multipliers for `cost`.
   void compute_multipliers(const std::vector<double>& cost);
-  /// Fills d_ with exact reduced costs (one BTRAN + one sparse pass).
-  void recompute_reduced_costs(const std::vector<double>& cost);
-  /// Devex candidate: most negative d_j^2 / w_j, or kNone.
-  [[nodiscard]] std::size_t pick_devex() const;
   /// Rotating partial Dantzig candidate (needs fresh multipliers in y_).
   [[nodiscard]] std::size_t pick_dantzig(const std::vector<double>& cost);
   /// Bland candidate: first negative reduced cost in index order (needs
   /// fresh multipliers in y_).
   [[nodiscard]] std::size_t pick_bland(const std::vector<double>& cost);
-  /// Pivot-row pass run BEFORE the exchange: updates reduced costs and
-  /// Devex weights from row `r` with entering column `e` (work_ must hold
-  /// the FTRAN-transformed entering column).
-  void update_pricing(std::size_t r, std::size_t e);
   /// alpha_r = rho' A computed row-major over rho's nonzeros only: fills
   /// alpha_ for the columns in touched_cols_ (previous contents cleared).
   /// Much cheaper than a per-column dot pass while rho is sparse — which,
@@ -296,15 +284,10 @@ class RevisedSimplex {
   std::vector<double> alpha_;
   std::vector<char> alpha_seen_;
   std::vector<std::size_t> touched_cols_;
-  // Multiple-pricing candidate list (kDantzig; valid within one
-  // optimize() run).
+  // Multiple-pricing candidate list (valid within one optimize() run).
   std::vector<std::size_t> candidates_;
   std::vector<double> candidate_d_;
-  // Devex pricing state (valid during one optimize() run).
-  std::vector<double> d_;        // reduced costs, updated per pivot
-  std::vector<double> devex_w_;  // reference-framework weights
-  bool d_fresh_ = false;
-  mutable SolvePhaseTimes times_;
+  SolvePhaseTimes times_;
 };
 
 }  // namespace ssco::lp

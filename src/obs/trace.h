@@ -2,11 +2,10 @@
 // Low-overhead span tracing with Chrome trace-event JSON export.
 //
 // One trace shows the full plan -> execute -> re-solve loop on a single
-// timeline: solver phases (presolve/phase1/phase2/factor/certify/colgen
-// rounds), service events (submit, hit class, dedup, drift re-solve) and
-// executor activities (per-transfer/per-compute occupations and admission
-// waits) all land in the same file, loadable in Perfetto or
-// chrome://tracing.
+// timeline: solver phases (phase1/phase2/factor/certify/colgen rounds),
+// service events (submit, hit class, dedup, drift re-solve) and executor
+// activities (per-transfer/per-compute occupations and admission waits)
+// all land in the same file, loadable in Perfetto or chrome://tracing.
 //
 // Cost model:
 //  * tracing DISABLED (the default): OBS_SPAN is one relaxed atomic load

@@ -80,8 +80,6 @@ obs::Snapshot snapshot_of(const lp::SolverStats& stats) {
   reg.counter("solver_warm_attempts").set(stats.warm_attempts);
   reg.counter("solver_warm_solves").set(stats.warm_solves);
   reg.counter("solver_exact_fallbacks").set(stats.exact_fallbacks);
-  reg.counter("solver_presolve_rows_removed").set(stats.presolve_rows_removed);
-  reg.counter("solver_presolve_cols_removed").set(stats.presolve_cols_removed);
   reg.counter("solver_colgen_solves").set(stats.colgen_solves);
   reg.counter("solver_colgen_rounds").set(stats.colgen_rounds);
   reg.counter("solver_colgen_columns_generated")
@@ -177,10 +175,6 @@ std::string format_solver_stats(const lp::SolverStats& stats) {
   table.add_row({"warm attempts", as_count(snap, "solver_warm_attempts")});
   table.add_row({"warm solves", as_count(snap, "solver_warm_solves")});
   table.add_row({"exact fallbacks", as_count(snap, "solver_exact_fallbacks")});
-  table.add_row({"presolve rows removed",
-                 as_count(snap, "solver_presolve_rows_removed")});
-  table.add_row({"presolve cols removed",
-                 as_count(snap, "solver_presolve_cols_removed")});
   table.add_row({"colgen solves", as_count(snap, "solver_colgen_solves")});
   table.add_row({"colgen rounds", as_count(snap, "solver_colgen_rounds")});
   table.add_row({"colgen columns generated",

@@ -135,8 +135,8 @@ struct ServiceMetrics {
 [[nodiscard]] std::string format_metrics(const ServiceMetrics& metrics);
 
 /// Renders an ExactSolver's aggregate telemetry — solve/pivot counters plus
-/// the FTRAN/BTRAN/pricing/factorization wall-clock breakdown and presolve
-/// reductions — as an io/report table for benches and examples. Values are
+/// the FTRAN/BTRAN/pricing/factorization wall-clock breakdown — as an
+/// io/report table for benches and examples. Values are
 /// read back from snapshot_of().
 [[nodiscard]] std::string format_solver_stats(const lp::SolverStats& stats);
 

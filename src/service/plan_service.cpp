@@ -607,7 +607,7 @@ PlanService::ExecuteResult PlanService::execute(const PlanRequest& request,
   }
 
   // Observe: feed measured per-edge rates back as a platform correction.
-  if (options.resolve_on_drift && out.report.fault.ok()) {
+  if (out.report.fault.ok()) {
     out.drift = exec::infer_cost_drift(pf, out.report,
                                        options.drift_threshold);
     if (!out.drift.empty()) {

@@ -116,7 +116,6 @@ struct ExecuteOptions {
   /// Re-solve when an edge's effective rate drifts relatively more than
   /// this from its modeled rate.
   double drift_threshold = 0.15;
-  bool resolve_on_drift = true;
 };
 
 struct ExecuteResult {

@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "core/scatter_lp.h"
+#include "core/scatter_schedule.h"
 #include "core/steady_state.h"
 #include "exec/engine.h"
 #include "exec/exec_report.h"
@@ -147,6 +151,86 @@ TEST(EventExecTest, RandomHeterogeneous16Scatter) {
   expect_clean(report);
   EXPECT_GE(report.efficiency, 0.95) << report.to_string(inst.platform);
   EXPECT_LE(report.efficiency, 1.05);
+}
+
+// ---- whole-message (integral) schedules on the event backend --------------
+
+/// A no-split (whole-message) scatter schedule run through the event
+/// backend with exactly-once identity tracking on.
+struct NoSplitRun {
+  ExecReport report;
+  double period_seconds = 0.0;  // one schedule period on the virtual clock
+};
+
+NoSplitRun simulate_no_split(const platform::ScatterInstance& inst) {
+  const core::MultiFlow flow = core::solve_scatter(inst);
+  core::ScatterScheduleOptions options;
+  options.allow_split_messages = false;
+  const core::PeriodicSchedule sched =
+      core::build_flow_schedule(inst.platform, flow, options);
+  const ExecProgram program =
+      exec::compile_flow_program(inst.platform, flow, sched, quick_options());
+  EXPECT_TRUE(program.verify) << "whole-message schedule must be verified";
+  return {sim::simulate_execution(program, quick_options()),
+          sched.period.to_double() * program.seconds_per_unit};
+}
+
+/// Exactly-once delivery, a full steady window, and achieved <= certified.
+void expect_exactly_once_at_bound(const ExecReport& report,
+                                  const platform::Platform& platform) {
+  expect_clean(report);
+  EXPECT_GE(report.efficiency, 0.95) << report.to_string(platform);
+  EXPECT_LE(report.achieved_ops_per_sec,
+            report.certified_ops_per_sec * (1.0 + 1e-9))
+      << report.to_string(platform);
+}
+
+TEST(IntegralSim, Fig2DeliversWholeMessagesAtFullRate) {
+  const auto inst = platform::fig2_toy();
+  const ExecReport report = simulate_no_split(inst).report;
+  expect_exactly_once_at_bound(report, inst.platform);
+  ASSERT_EQ(report.delivered_messages.size(), inst.targets.size());
+  for (std::uint64_t d : report.delivered_messages) EXPECT_GT(d, 0u);
+}
+
+TEST(IntegralSim, CompletedOperationsLagDeliveries) {
+  // An operation completes only once EVERY commodity's message has
+  // arrived; the count can only trail each commodity's deliveries.
+  const auto inst = platform::fig2_toy();
+  const ExecReport report = simulate_no_split(inst).report;
+  expect_clean(report);
+  ASSERT_EQ(report.delivered_messages.size(), inst.targets.size());
+  for (std::uint64_t d : report.delivered_messages) {
+    EXPECT_LE(report.total_operations, d);
+  }
+}
+
+TEST(IntegralSim, MatchesFluidUpToRampAndRounding) {
+  // Over the whole run, pipeline fill included, whole-message execution
+  // stays within the fluid bound of the periods it spans and loses only the
+  // ramp. The run ends at the completing delivery, inside its last period,
+  // so the horizon is rounded up to whole periods.
+  const auto inst = platform::fig2_toy();
+  const NoSplitRun run = simulate_no_split(inst);
+  const ExecReport& report = run.report;
+  expect_clean(report);
+  ASSERT_GT(run.period_seconds, 0.0);
+  const double periods =
+      std::ceil(report.total_seconds / run.period_seconds - 1e-9);
+  const double bound =
+      report.certified_ops_per_sec * periods * run.period_seconds;
+  const double achieved = static_cast<double>(report.total_operations);
+  EXPECT_GT(achieved / bound, 0.85) << report.to_string(inst.platform);
+  EXPECT_LE(achieved, bound + 1e-9) << report.to_string(inst.platform);
+}
+
+TEST(IntegralSim, NoDuplicatesOnRandomPlatforms) {
+  for (std::uint64_t seed : {19, 38, 57}) {
+    SCOPED_TRACE(seed);
+    const auto inst = testing::random_scatter_instance(seed, 6, 2);
+    expect_exactly_once_at_bound(simulate_no_split(inst).report,
+                                 inst.platform);
+  }
 }
 
 TEST(EventExecTest, Deterministic) {

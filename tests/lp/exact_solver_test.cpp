@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "graph/rng.h"
 
 namespace ssco::lp {
 namespace {
@@ -75,22 +78,15 @@ TEST(ExactSolver, NoFallbackReportsHonestly) {
 }
 
 TEST(ExactSolver, InfeasibleProvenByExactPath) {
-  // x <= 1 (bound row) conflicts with x >= 2: the exact presolve proves
-  // this directly (conflicting proportional singleton rows); with presolve
-  // off, the rational simplex must be the prover — never a float verdict.
+  // x <= 1 (bound row) conflicts with x >= 2: the rational simplex must be
+  // the prover — never a float verdict.
   Model m;
   VarId x = m.add_variable("x", Rational(0), Rational(1));
   m.add_constraint(LinearExpr().add(x, Rational(1)), Sense::kGreaterEqual,
                    Rational(2));
   auto sol = ExactSolver().solve(m);
   EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(sol.method, "presolve");
-
-  ExactSolverOptions no_presolve;
-  no_presolve.presolve = false;
-  auto exact = ExactSolver(no_presolve).solve(m);
-  EXPECT_EQ(exact.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(exact.method, "exact-simplex");
+  EXPECT_EQ(sol.method, "exact-simplex");
 }
 
 TEST(ExactSolver, UnboundedDetected) {
@@ -171,6 +167,94 @@ TEST(ExactSolver, DegenerateVertexStillCertifies) {
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_TRUE(sol.certified);
   EXPECT_EQ(sol.objective, Rational(2));
+}
+
+TEST(ExactSolver, DegenerateModelRoundTrip) {
+  // A degenerate optimum (redundant tight rows, zero-valued basics) with a
+  // fixed variable, a forcing row, proportional duplicate rows and a dead
+  // column. The captured basis must feed a warm start that certifies the
+  // same objective.
+  Model m;
+  VarId a = m.add_variable("a");
+  VarId b = m.add_variable("b");
+  VarId c = m.add_variable("c");
+  VarId dead = m.add_variable("dead");
+  m.set_objective(a, Rational(2));
+  m.set_objective(b, Rational(1));
+  m.set_objective(dead, Rational(-1));
+  m.add_constraint(LinearExpr().add(a, Rational(1)), Sense::kEqual,
+                   Rational(1), "fix_a");
+  m.add_constraint(LinearExpr().add(b, Rational(1)).add(c, Rational(1)),
+                   Sense::kEqual, Rational(0), "force_bc");
+  m.add_constraint(LinearExpr().add(a, Rational(1)).add(b, Rational(1)),
+                   Sense::kLessEqual, Rational(1), "tight1");
+  m.add_constraint(LinearExpr().add(a, Rational(2)).add(b, Rational(2)),
+                   Sense::kLessEqual, Rational(2), "tight2");
+  SolveContext context;
+  auto first = ExactSolver().solve(m, &context);
+  ASSERT_EQ(first.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(first.certified);
+  EXPECT_EQ(first.objective, Rational(2));
+  EXPECT_EQ(first.objective, solve_exact_simplex(m).objective);
+  ASSERT_FALSE(context.warm.empty());
+
+  auto warm = ExactSolver().solve(m, &context);
+  EXPECT_TRUE(warm.certified);
+  EXPECT_TRUE(context.warm_attempted);
+  EXPECT_EQ(warm.objective, first.objective);
+}
+
+TEST(ExactSolver, RandomizedAgreementSweep) {
+  // Random small mixed-sense models, some of them infeasible: every solve
+  // must reach the same status and certify the same exact objective as the
+  // pure exact simplex.
+  graph::Rng rng(2026);
+  for (int trial = 0; trial < 40; ++trial) {
+    Model m;
+    const std::size_t nv = 3 + rng.uniform(0, 4);
+    std::vector<VarId> vars;
+    for (std::size_t j = 0; j < nv; ++j) {
+      vars.push_back(m.add_variable("v" + std::to_string(j)));
+      m.set_objective(vars.back(),
+                      Rational(static_cast<std::int64_t>(rng.uniform(0, 4))));
+    }
+    const std::size_t nr = 2 + rng.uniform(0, 4);
+    for (std::size_t i = 0; i < nr; ++i) {
+      LinearExpr expr;
+      for (const VarId v : vars) {
+        if (rng.uniform(0, 2) == 0) continue;
+        expr.add(v, Rational(static_cast<std::int64_t>(rng.uniform(1, 5))));
+      }
+      if (expr.empty()) expr.add(vars[0], Rational(1));
+      const int kind = static_cast<int>(rng.uniform(0, 3));
+      const Sense sense = kind == 0 ? Sense::kLessEqual
+                          : kind == 1 ? Sense::kGreaterEqual
+                                      : Sense::kEqual;
+      // Mostly positive right-hand sides, some zero (forcing rows).
+      const Rational rhs(
+          static_cast<std::int64_t>(rng.uniform(0, 3) == 0 ? 0
+                                                           : rng.uniform(1, 9)));
+      m.add_constraint(expr, sense, rhs, "r" + std::to_string(i));
+    }
+    // Singleton == row fixing a variable on some trials.
+    if (rng.uniform(0, 2) == 0) {
+      m.add_constraint(LinearExpr().add(vars[0], Rational(2)), Sense::kEqual,
+                       Rational(static_cast<std::int64_t>(rng.uniform(0, 5))),
+                       "fix");
+    }
+    // Cap everything so the model cannot be unbounded.
+    LinearExpr cap;
+    for (const VarId v : vars) cap.add(v, Rational(1));
+    m.add_constraint(cap, Sense::kLessEqual, Rational(20), "cap_all");
+
+    auto fast = ExactSolver().solve(m);
+    auto exact = solve_exact_simplex(m);
+    ASSERT_EQ(fast.status, exact.status) << "trial " << trial;
+    if (exact.status == SolveStatus::kOptimal) {
+      EXPECT_TRUE(fast.certified) << "trial " << trial;
+      EXPECT_EQ(fast.objective, exact.objective) << "trial " << trial;
+    }
+  }
 }
 
 TEST(ExactSolver, StatsAggregateAcrossConcurrentSolves) {
